@@ -314,9 +314,14 @@ class PGPScheduler:
             return []
         parts = [names[j::k] for j in range(k)]  # line 9's round-robin init
         if self.options.kernighan_lin and k > 1:
+            # Every KL pass of this stage ranks and bounds by the same
+            # behaviour sums: take them once, over this stage only.
+            behaviors = [workflow.function(f).behavior for f in names]
+            solo = {f: b.solo_ms for f, b in zip(names, behaviors)}
+            cpu = {f: b.cpu_ms for f, b in zip(names, behaviors)}
             for i, j in itertools.combinations(range(k), 2):
                 parts[i], parts[j] = self._kernighan_lin(
-                    workflow, parts[i], parts[j])
+                    workflow, parts[i], parts[j], solo, cpu)
         return parts
 
     def _partition_all_stages(self, workflow: Workflow, n: int,
@@ -351,7 +356,9 @@ class PGPScheduler:
     _KL_CANDIDATE_WINDOW = 6
 
     def _kernighan_lin(self, workflow: Workflow, a: list[str],
-                       b: list[str]) -> tuple[list[str], list[str]]:
+                       b: list[str], solo: dict[str, float],
+                       cpu: dict[str, float]
+                       ) -> tuple[list[str], list[str]]:
         """Lines 18-25: greedy swap sequence, then apply the best prefix.
 
         Candidate swaps are pruned against an optimistic lower bound before
@@ -361,13 +368,12 @@ class PGPScheduler:
         startup only add).  A swap whose bound already exceeds the incumbent
         best objective cannot win and is skipped — the chosen swap sequence
         is unchanged, so plans stay bit-identical with pruning on or off.
+        ``solo`` and ``cpu`` map every function of ``a`` and ``b`` to its
+        solo latency and CPU sum.
         """
-        solo = {f.name: f.behavior.solo_ms for f in workflow.functions}
         cal = self.predictor.cal
         can_prune = (cal.has_gil and cal.exec_overhead_cpu >= 0
                      and cal.isolation_startup_ms >= 0)
-        cpu = ({f.name: f.behavior.cpu_ms for f in workflow.functions}
-               if can_prune else {})
         metrics = (self.predictor.cache.metrics
                    if self.predictor.cache is not None else None)
         c_eval = (metrics.counter("pgp.kl.swaps.evaluated")

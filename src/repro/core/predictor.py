@@ -22,16 +22,17 @@ with bounded concurrency.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro.calibration import RuntimeCalibration
 from repro.core.wrap import DeploymentPlan, ExecMode, StageAssignment
 from repro.errors import DeploymentError
-from repro.workflow.behavior import FunctionBehavior, SegmentKind
+from repro.workflow.behavior import FunctionBehavior
 from repro.workflow.model import Workflow
 
 _EPS = 1e-9
@@ -162,30 +163,18 @@ class PredictionCache:
 
 
 class _Th:
-    """Mutable per-thread replay state for Algorithm 1.
-
-    When ``trace`` is set, the replay emits the thread's simulated timeline
-    (exec/block spans at ``offset`` + replay time) into it — the predictor
-    side of :mod:`repro.obs.divergence`.
-    """
+    """Mutable per-task state of the fluid fair-share replay over a
+    behaviour's ``replay_segments``; with ``trace`` set, block spans are
+    emitted into it at ``offset`` + replay time."""
 
     __slots__ = ("segs", "idx", "off", "cpu_time", "blocked_until", "done",
-                 "name", "trace", "offset", "finished_at")
+                 "name", "trace", "offset")
 
-    def __init__(self, behavior: FunctionBehavior, cal: RuntimeCalibration,
-                 *, name: str = "t", trace=None, offset: float = 0.0):
+    def __init__(self, segs: tuple, *, name: str = "t", trace=None,
+                 offset: float = 0.0):
         self.name = name
         self.trace = trace
         self.offset = offset
-        self.finished_at: Optional[float] = None
-        cpu_scale = 1.0 + cal.exec_overhead_cpu
-        io_scale = 1.0 + cal.exec_overhead_io
-        segs: list[tuple[SegmentKind, float]] = []
-        if cal.isolation_startup_ms > 0:
-            segs.append((SegmentKind.CPU, cal.isolation_startup_ms))
-        for seg in behavior.merged():
-            scale = cpu_scale if seg.kind is SegmentKind.CPU else io_scale
-            segs.append((seg.kind, seg.duration_ms * scale))
         self.segs = segs
         self.idx = 0
         self.off = 0.0
@@ -198,11 +187,10 @@ class _Th:
         while not self.done:
             if self.idx >= len(self.segs):
                 self.done = True
-                self.finished_at = now
                 return
-            kind, dur = self.segs[self.idx]
+            is_cpu, dur = self.segs[self.idx]
             remaining = dur - self.off
-            if kind is SegmentKind.CPU:
+            if is_cpu:
                 if remaining > _EPS:
                     return  # runnable
                 self.idx += 1
@@ -225,8 +213,121 @@ class _Th:
     @property
     def runnable(self) -> bool:
         return (not self.done and self.blocked_until is None
-                and self.idx < len(self.segs)
-                and self.segs[self.idx][0] is SegmentKind.CPU)
+                and self.idx < len(self.segs) and self.segs[self.idx][0])
+
+
+def _replay_gil(segs: Sequence[tuple], interval: float, spawn_cost: float,
+                fifo: bool, trace, names: Sequence[str], t0: float) -> float:
+    """Algorithm 1 as an event-driven replay over pre-scaled segments.
+
+    Runnable threads wait in a heap keyed ``(cpu_time, spawn index)`` (line
+    17's min-CPU-time hand-off, oldest thread first on ties), blocked ones
+    in a heap keyed by release time.  A step releases the sleepers due at
+    ``now`` once (an IO that blocks during the release waits for the next
+    step, however short), absorbs the threads spawned last step, then runs
+    the main thread or the top of the ready heap.
+    """
+    n = len(segs)
+    idx = [0] * n      # each thread's current segment
+    off = [0.0] * n    # CPU already run inside that segment
+    cpu = [0.0] * n    # accumulated CPU time
+    ready: list = []   # (cpu_time, i) of runnable threads
+    sleep: list = []   # (blocked_until, i) of blocked threads
+    fresh: list = []   # spawned, not yet absorbed
+    spawned = 0
+    main_cpu = 0.0
+    now = 0.0
+
+    def absorb(i: int, k: int, now: float) -> None:
+        """Move thread ``i`` from segment ``k`` to runnable/blocked/done."""
+        th_segs = segs[i]
+        while k < len(th_segs):
+            is_cpu, dur = th_segs[k]
+            if not is_cpu:
+                idx[i] = k
+                until = now + dur
+                heappush(sleep, (until, i))
+                if trace is not None and dur > _EPS:
+                    trace.record(names[i], "block", t0 + now, t0 + until)
+                return
+            if dur - off[i] > _EPS:
+                idx[i] = k
+                heappush(ready, (cpu[i], i))
+                return
+            off[i] = 0.0
+            k += 1
+        idx[i] = k
+
+    while True:
+        if sleep and sleep[0][0] <= now + _EPS:
+            due = []
+            while sleep and sleep[0][0] <= now + _EPS:
+                due.append(heappop(sleep)[1])
+            due.sort()  # spawn order, so trace spans keep their order
+            for i in due:
+                absorb(i, idx[i] + 1, now)
+        if fresh:
+            for i in fresh:
+                absorb(i, 0, now)
+            fresh.clear()
+        if spawned < n and (not ready or main_cpu <= ready[0][0]):
+            # Main-thread turn: start y functions in one interval
+            # (Alg. 1 lines 4-5).
+            if spawn_cost <= 0:
+                fresh.extend(range(spawned, n))
+                spawned = n
+                continue
+            batch = min(max(1, int(interval // spawn_cost)), n - spawned)
+            if trace is not None:
+                for b in range(batch):
+                    trace.record(names[spawned + b], "startup",
+                                 t0 + now + b * spawn_cost,
+                                 t0 + now + (b + 1) * spawn_cost,
+                                 op="thread.spawn")
+            fresh.extend(range(spawned, spawned + batch))
+            spawned += batch
+            now += batch * spawn_cost
+            main_cpu += batch * spawn_cost
+            continue
+        if not ready:
+            if not sleep:
+                return now  # all threads over (Alg. 1 lines 12-13)
+            now = sleep[0][0]
+            continue
+
+        # Function turn (Alg. 1 lines 7-17): run continuously until the
+        # switch interval elapses, a block op occurs, or the function
+        # finishes.
+        if fifo:  # ablation: oldest spawned runnable thread
+            entry = min(ready, key=itemgetter(1))
+            ready.remove(entry)
+            heapify(ready)
+        else:
+            entry = heappop(ready)
+        i = entry[1]
+        th_segs = segs[i]
+        k, o = idx[i], off[i]
+        budget = interval
+        ran = 0.0
+        while budget > _EPS and k < len(th_segs):
+            is_cpu, dur = th_segs[k]
+            if not is_cpu:
+                break  # block op: T_avl consumed, GIL dropped
+            step = dur - o
+            if budget < step:
+                step = budget
+            o += step
+            ran += step
+            budget -= step
+            if o >= dur - _EPS:
+                k += 1
+                o = 0.0
+        off[i] = o
+        if trace is not None and ran > _EPS:
+            trace.record(names[i], "exec", t0 + now, t0 + now + ran)
+        now += ran
+        cpu[i] = entry[0] + ran
+        absorb(i, k, now)
 
 
 class LatencyPredictor:
@@ -264,6 +365,11 @@ class LatencyPredictor:
         self.cache: Optional[PredictionCache] = cache
         #: lazily built (calibration fingerprint, GIL policy) cache-key part
         self._cal_token: Optional[tuple] = None
+        #: what every behaviour's replay segments depend on (see
+        #: FunctionBehavior.replay_segments)
+        self._seg_key = (self.cal.isolation_startup_ms,
+                         1.0 + self.cal.exec_overhead_cpu,
+                         1.0 + self.cal.exec_overhead_io)
 
     def _calibration_token(self) -> tuple:
         """The calibration id every cache key carries (frozen per instance:
@@ -297,88 +403,13 @@ class LatencyPredictor:
             # core per thread available inside the process's cpuset share.
             return self.predict_parallel_exec(behaviors, cores=len(behaviors),
                                               trace=trace, names=names, t0=t0)
-        interval = cal.gil_switch_interval_ms
-        spawn_cost = cal.thread_startup_ms if include_spawn else 0.0
-
-        if trace is None:  # hot path: PGP's search never traces
-            threads = [_Th(b, cal) for b in behaviors]
-        else:
-            threads = [_Th(b, cal,
-                           name=(names[i] if names is not None else f"t{i}"),
-                           trace=trace, offset=t0)
-                       for i, b in enumerate(behaviors)]
-        to_spawn = list(range(len(threads)))
-        spawned: list[_Th] = []
-        main_cpu_time = 0.0
-        now = 0.0
-
-        while True:
-            for th in spawned:
-                th.absorb(now)
-            runnable = [th for th in spawned if th.runnable]
-            main_ready = bool(to_spawn)
-            if not runnable and not main_ready:
-                pending = [th.blocked_until for th in spawned
-                           if not th.done and th.blocked_until is not None]
-                if pending:
-                    now = min(pending)
-                    continue
-                break  # all threads over (Alg. 1 lines 12-13)
-
-            min_thread_cpu = min((th.cpu_time for th in runnable),
-                                 default=math.inf)
-            if main_ready and main_cpu_time <= min_thread_cpu:
-                # Main-thread turn: start y functions in one interval
-                # (Alg. 1 lines 4-5).
-                if spawn_cost <= 0:
-                    spawned.extend(threads[i] for i in to_spawn)
-                    to_spawn.clear()
-                    continue
-                batch = max(1, int(interval // spawn_cost))
-                batch = min(batch, len(to_spawn))
-                cost = batch * spawn_cost
-                for b in range(batch):
-                    th = threads[to_spawn.pop(0)]
-                    spawned.append(th)
-                    if trace is not None:
-                        trace.record(th.name, "startup",
-                                     t0 + now + b * spawn_cost,
-                                     t0 + now + (b + 1) * spawn_cost,
-                                     op="thread.spawn")
-                now += cost
-                main_cpu_time += cost
-                continue
-
-            # Function turn (Alg. 1 lines 7-17): run continuously until the
-            # switch interval elapses, a block op occurs, or the function
-            # finishes.
-            if self.gil_handoff == "cfs":
-                th = min(runnable, key=lambda t: t.cpu_time)
-            else:  # fifo ablation: oldest spawned runnable thread
-                th = runnable[0]
-            budget = interval
-            ran = 0.0
-            while budget > _EPS and not th.done:
-                if th.idx >= len(th.segs):
-                    th.done = True
-                    th.finished_at = now + ran
-                    break
-                kind, dur = th.segs[th.idx]
-                if kind is not SegmentKind.CPU:
-                    break  # block op: T_avl consumed, GIL dropped
-                step = min(dur - th.off, budget)
-                th.off += step
-                ran += step
-                budget -= step
-                if th.off >= dur - _EPS:
-                    th.idx += 1
-                    th.off = 0.0
-            if trace is not None and ran > _EPS:
-                trace.record(th.name, "exec", t0 + now, t0 + now + ran)
-            now += ran
-            th.cpu_time += ran
-            th.absorb(now)
-        return now
+        if trace is not None and names is None:
+            names = [f"t{i}" for i in range(len(behaviors))]
+        return _replay_gil([b.replay_segments(self._seg_key)
+                            for b in behaviors],
+                           cal.gil_switch_interval_ms,
+                           cal.thread_startup_ms if include_spawn else 0.0,
+                           self.gil_handoff == "fifo", trace, names, t0)
 
     def predict_exec_canonical(
             self, behaviors: Sequence[FunctionBehavior]) -> float:
@@ -424,18 +455,17 @@ class LatencyPredictor:
             return 0.0
         if cores <= 0:
             raise DeploymentError(f"cores must be > 0, got {cores}")
-        cal = self.cal
         n = len(behaviors)
         offsets = list(start_offsets) if start_offsets is not None else [0.0] * n
         if len(offsets) != n:
             raise DeploymentError("start_offsets length mismatch")
+        segs = [b.replay_segments(self._seg_key) for b in behaviors]
         if trace is None:  # hot path: PGP's search never traces
-            tasks = [_Th(b, cal) for b in behaviors]
+            tasks = [_Th(s) for s in segs]
         else:
-            tasks = [_Th(b, cal,
-                         name=(names[i] if names is not None else f"t{i}"),
+            tasks = [_Th(s, name=(names[i] if names is not None else f"t{i}"),
                          trace=trace, offset=t0)
-                     for i, b in enumerate(behaviors)]
+                     for i, s in enumerate(segs)]
         admitted: list[_Th] = []
         waiting = sorted(range(n), key=lambda i: (offsets[i], i))
         slots = max_concurrent if max_concurrent is not None else n

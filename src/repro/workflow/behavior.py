@@ -28,15 +28,22 @@ class SegmentKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Segment:
-    """One homogeneous period of function execution."""
+    """One homogeneous period of function execution.
+
+    ``duration_ms`` is stored as a primitive ``float`` whatever number type
+    it was built from (jitter hands in numpy scalars), so everything derived
+    from it — fingerprints, predictions, comparisons — is plain Python.
+    """
 
     kind: SegmentKind
     duration_ms: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.duration_ms) or self.duration_ms < 0:
+        duration = float(self.duration_ms)
+        if not math.isfinite(duration) or duration < 0:
             raise ProfilingError(
-                f"segment duration must be finite and >= 0, got {self.duration_ms}")
+                f"segment duration must be finite and >= 0, got {duration}")
+        object.__setattr__(self, "duration_ms", duration)
 
 
 class FunctionBehavior:
@@ -52,7 +59,7 @@ class FunctionBehavior:
     to its successors (drives interaction-overhead modelling, Figure 4).
     """
 
-    __slots__ = ("_segments", "data_out_mb", "memory_mb", "_fp")
+    __slots__ = ("_segments", "data_out_mb", "memory_mb", "_fp", "_replay")
 
     def __init__(self, segments: Iterable[Segment], *,
                  data_out_mb: float = 0.01, memory_mb: float = 0.0) -> None:
@@ -65,6 +72,7 @@ class FunctionBehavior:
         self.data_out_mb = float(data_out_mb)
         self.memory_mb = float(memory_mb)
         self._fp: Optional[tuple] = None
+        self._replay: Optional[tuple] = None
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -138,6 +146,31 @@ class FunctionBehavior:
                   self.data_out_mb, self.memory_mb)
             self._fp = fp
         return fp
+
+    def replay_segments(self, key: tuple[float, float, float]
+                        ) -> tuple[tuple[bool, float], ...]:
+        """Algorithm 1's view of this behaviour: ``(is_cpu, duration_ms)``.
+
+        ``key`` is a calibration's ``(isolation_startup_ms, cpu_scale,
+        io_scale)``: a positive startup becomes a leading CPU segment, then
+        the :meth:`merged` segments follow, each scaled by its execution
+        overhead.  The tuple for the latest key is memoized on the
+        behaviour, so a predictor replaying it thousands of times builds it
+        once, and the memo goes away with the behaviour when a re-profile
+        replaces it.
+        """
+        memo = self._replay
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        startup_ms, cpu_scale, io_scale = key
+        segs = [(True, startup_ms)] if startup_ms > 0 else []
+        for seg in self.merged():
+            is_cpu = seg.kind is SegmentKind.CPU
+            segs.append((is_cpu, seg.duration_ms
+                         * (cpu_scale if is_cpu else io_scale)))
+        out = tuple(segs)
+        self._replay = (key, out)
+        return out
 
     # -- transforms -----------------------------------------------------------
     def scaled(self, cpu_factor: float = 1.0, io_factor: float = 1.0

@@ -1,5 +1,8 @@
 """Tests for the white-box latency predictor (Algorithm 1 + Eq. 1-4)."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +17,7 @@ from repro.core.wrap import (
 )
 from repro.errors import DeploymentError
 from repro.workflow import FunctionBehavior, FunctionSpec, Stage, Workflow
+from repro.workflow.behavior import SegmentKind
 
 CAL = RuntimeCalibration.native()
 
@@ -247,3 +251,255 @@ def test_property_fluid_work_conservation(works, cores):
     assert t >= max(works) - 1e-6
     assert t >= sum(works) / cores - 1e-6
     assert t <= sum(works) + 1e-6
+
+
+# ----------------------------------------------------------------------
+# Differential test: the heap-scheduled replay kernel against the retired
+# linear-scan Algorithm-1 loop, kept here as the oracle (less the finish
+# times it recorded, which no result used).
+# ----------------------------------------------------------------------
+_EPS = 1e-9
+
+
+class _OracleThread:
+    """Per-thread state of the retired loop (built from ``merged()``)."""
+
+    def __init__(self, behavior, cal, *, name="t", trace=None, offset=0.0):
+        self.name = name
+        self.trace = trace
+        self.offset = offset
+        cpu_scale = 1.0 + cal.exec_overhead_cpu
+        io_scale = 1.0 + cal.exec_overhead_io
+        segs = []
+        if cal.isolation_startup_ms > 0:
+            segs.append((SegmentKind.CPU, cal.isolation_startup_ms))
+        for seg in behavior.merged():
+            scale = cpu_scale if seg.kind is SegmentKind.CPU else io_scale
+            segs.append((seg.kind, seg.duration_ms * scale))
+        self.segs = segs
+        self.idx = 0
+        self.off = 0.0
+        self.cpu_time = 0.0
+        self.blocked_until = None
+        self.done = not segs
+
+    def absorb(self, now):
+        while not self.done:
+            if self.idx >= len(self.segs):
+                self.done = True
+                return
+            kind, dur = self.segs[self.idx]
+            remaining = dur - self.off
+            if kind is SegmentKind.CPU:
+                if remaining > _EPS:
+                    return
+                self.idx += 1
+                self.off = 0.0
+            else:
+                if self.blocked_until is None:
+                    self.blocked_until = now + remaining
+                    if self.trace is not None and remaining > _EPS:
+                        self.trace.record(self.name, "block",
+                                          self.offset + now,
+                                          self.offset + self.blocked_until)
+                    return
+                if self.blocked_until <= now + _EPS:
+                    self.idx += 1
+                    self.off = 0.0
+                    self.blocked_until = None
+                    continue
+                return
+
+    @property
+    def runnable(self):
+        return (not self.done and self.blocked_until is None
+                and self.idx < len(self.segs)
+                and self.segs[self.idx][0] is SegmentKind.CPU)
+
+
+def oracle_multithread_exec(cal, gil_handoff, behaviors, *,
+                            include_spawn=True, trace=None, names=None,
+                            t0=0.0):
+    """The retired O(threads)-per-step Algorithm-1 replay."""
+    if not behaviors:
+        return 0.0
+    interval = cal.gil_switch_interval_ms
+    spawn_cost = cal.thread_startup_ms if include_spawn else 0.0
+    threads = [_OracleThread(b, cal,
+                             name=(names[i] if names is not None else f"t{i}"),
+                             trace=trace, offset=t0)
+               for i, b in enumerate(behaviors)]
+    to_spawn = list(range(len(threads)))
+    spawned = []
+    main_cpu_time = 0.0
+    now = 0.0
+    while True:
+        for th in spawned:
+            th.absorb(now)
+        runnable = [th for th in spawned if th.runnable]
+        main_ready = bool(to_spawn)
+        if not runnable and not main_ready:
+            pending = [th.blocked_until for th in spawned
+                       if not th.done and th.blocked_until is not None]
+            if pending:
+                now = min(pending)
+                continue
+            break
+        min_thread_cpu = min((th.cpu_time for th in runnable),
+                             default=math.inf)
+        if main_ready and main_cpu_time <= min_thread_cpu:
+            if spawn_cost <= 0:
+                spawned.extend(threads[i] for i in to_spawn)
+                to_spawn.clear()
+                continue
+            batch = max(1, int(interval // spawn_cost))
+            batch = min(batch, len(to_spawn))
+            cost = batch * spawn_cost
+            for b in range(batch):
+                th = threads[to_spawn.pop(0)]
+                spawned.append(th)
+                if trace is not None:
+                    trace.record(th.name, "startup",
+                                 t0 + now + b * spawn_cost,
+                                 t0 + now + (b + 1) * spawn_cost,
+                                 op="thread.spawn")
+            now += cost
+            main_cpu_time += cost
+            continue
+        if gil_handoff == "cfs":
+            th = min(runnable, key=lambda t: t.cpu_time)
+        else:
+            th = runnable[0]
+        budget = interval
+        ran = 0.0
+        while budget > _EPS and not th.done:
+            if th.idx >= len(th.segs):
+                th.done = True
+                break
+            kind, dur = th.segs[th.idx]
+            if kind is not SegmentKind.CPU:
+                break
+            step = min(dur - th.off, budget)
+            th.off += step
+            ran += step
+            budget -= step
+            if th.off >= dur - _EPS:
+                th.idx += 1
+                th.off = 0.0
+        if trace is not None and ran > _EPS:
+            trace.record(th.name, "exec", t0 + now, t0 + now + ran)
+        now += ran
+        th.cpu_time += ran
+        th.absorb(now)
+    return now
+
+
+class _SpanLog:
+    """Minimal trace sink: every record, in order, tags included."""
+
+    def __init__(self):
+        self.spans = []
+
+    def record(self, entity, kind, start_ms, end_ms, **tags):
+        self.spans.append((entity, kind, start_ms, end_ms,
+                           tuple(sorted(tags.items()))))
+
+
+#: durations that exercise the replay's epsilon paths: zero-length and
+#: sub-``_EPS`` segments, values straddling ``_EPS``, and ordinary ones
+_DURATIONS = st.one_of(
+    st.sampled_from([0.0, 1e-12, 5e-10, 1e-9, 1.5e-9, 0.05, 0.1, 5.0]),
+    st.floats(min_value=0.0, max_value=30.0, allow_nan=False))
+_SEGMENT = st.tuples(st.sampled_from(["cpu", "io"]), _DURATIONS)
+_CALIBRATIONS = [RuntimeCalibration.native(), RuntimeCalibration.mpk(),
+                 RuntimeCalibration.sfi(), RuntimeCalibration.nodejs()]
+
+
+@st.composite
+def _replay_cases(draw):
+    cal = draw(st.sampled_from(_CALIBRATIONS))
+    # vary the spawn batch size (interval // spawn cost) and the quantum
+    cal = cal.evolve(
+        thread_startup_ms=draw(st.sampled_from(
+            [cal.thread_startup_ms, 0.0, 0.3, 1.7, 6.0])),
+        gil_switch_interval_ms=draw(st.sampled_from(
+            [cal.gil_switch_interval_ms, 0.5, 2.0])))
+    as_numpy = draw(st.booleans())
+    behaviors = []
+    for _ in range(draw(st.integers(min_value=1, max_value=60))):
+        segs = draw(st.lists(_SEGMENT, min_size=1, max_size=6))
+        if as_numpy:
+            segs = [(kind, np.float64(dur)) for kind, dur in segs]
+        behaviors.append(FunctionBehavior.of(*segs))
+    # shared behaviour objects: equal-key ties in the ready heap
+    if len(behaviors) > 2 and draw(st.booleans()):
+        behaviors[1] = behaviors[0]
+    return (cal, draw(st.sampled_from(["cfs", "fifo"])),
+            draw(st.booleans()), behaviors)
+
+
+@settings(deadline=None, max_examples=120)
+@given(_replay_cases(), st.sampled_from([0.0, 12.5]))
+def test_property_replay_kernel_matches_retired_loop(case, t0):
+    """The event-driven kernel returns the retired loop's wall time bit for
+    bit and records the same spans in the same order."""
+    cal, handoff, include_spawn, bs = case
+    p = LatencyPredictor(cal, gil_handoff=handoff, cache=False)
+    want = oracle_multithread_exec(cal, handoff, bs,
+                                   include_spawn=include_spawn)
+    got = p.predict_multithread_exec(bs, include_spawn=include_spawn)
+    assert got == want
+    names = [f"f{i}" for i in range(len(bs))]
+    want_log, got_log = _SpanLog(), _SpanLog()
+    traced_want = oracle_multithread_exec(
+        cal, handoff, bs, include_spawn=include_spawn, trace=want_log,
+        names=names, t0=t0)
+    traced_got = p.predict_multithread_exec(
+        bs, include_spawn=include_spawn, trace=got_log, names=names, t0=t0)
+    assert traced_got == traced_want == want
+    assert got_log.spans == want_log.spans
+
+
+@pytest.mark.parametrize("name", ["finra-5", "finra-50"])
+@pytest.mark.parametrize("cal", _CALIBRATIONS[:3],
+                         ids=["native", "mpk", "sfi"])
+def test_replay_kernel_matches_retired_loop_on_finra_prefixes(name, cal):
+    """Every prefix of a FINRA fan-out stage, both hand-offs."""
+    from repro.apps import workload
+
+    stage = max(workload(name).stages, key=len)
+    bs = [f.behavior for f in stage]
+    for handoff in ("cfs", "fifo"):
+        p = LatencyPredictor(cal, gil_handoff=handoff, cache=False)
+        for k in range(1, len(bs) + 1):
+            assert (p.predict_multithread_exec(bs[:k])
+                    == oracle_multithread_exec(cal, handoff, bs[:k]))
+
+
+def test_zero_length_io_reached_during_a_release_waits_a_step():
+    """Releasing ``a`` from its 1 ms IO skips a zero CPU segment and blocks
+    it on a zero-length IO; that IO is released at the next step, after
+    ``b`` took its turn — the retired loop's one-absorb-per-step rule."""
+    a = FunctionBehavior.of(("io", 1.0), ("cpu", 0.0), ("io", 0.0),
+                            ("cpu", 11.0))
+    b = FunctionBehavior.of(("cpu", 7.0), ("io", 3.0))
+    p = LatencyPredictor(CAL, cache=False)
+    got = p.predict_multithread_exec([a, b], include_spawn=False)
+    assert got == oracle_multithread_exec(CAL, "cfs", [a, b],
+                                          include_spawn=False) == 18.0
+
+
+def test_replay_segments_memo_follows_the_calibration():
+    """Segments are merged, prefixed by the isolation startup and scaled;
+    the behaviour's memo never serves segments built for another key."""
+    b = FunctionBehavior.of(("cpu", 2.0), ("cpu", 1.0), ("io", 3.0))
+    plain = ((True, 3.0), (False, 3.0))
+    scaled = ((True, 0.5), (True, 6.0), (False, 4.5))
+    assert b.replay_segments((0.0, 1.0, 1.0)) == plain
+    assert b.replay_segments((0.5, 2.0, 1.5)) == scaled
+    assert b.replay_segments((0.0, 1.0, 1.0)) == plain
+    native, sfi = RuntimeCalibration.native(), RuntimeCalibration.sfi()
+    for cal in (native, sfi, native):
+        p = LatencyPredictor(cal, cache=False)
+        assert (p.predict_multithread_exec([b])
+                == oracle_multithread_exec(cal, "cfs", [b]))
